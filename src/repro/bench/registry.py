@@ -15,6 +15,7 @@ discovery step to forget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.bench import workloads
@@ -32,25 +33,39 @@ class Bench:
     name: str
     suite: str
     #: Logical operations one ``run()`` performs (simulated milliseconds
-    #: for scenario benches, computations for micro benches) — the
-    #: numerator of the reported ops/s.
+    #: for scenario benches, computations for micro benches, context
+    #: switches for ``core.scale_*``) — the numerator of the reported
+    #: ops/s.
     ops: int
-    run: Callable[[], object]
+    run: Callable[..., object]
     description: str = ""
+    #: Untimed preparation.  When set, every call builds a fresh state
+    #: with ``setup()`` and only ``run(state)`` is timed.
+    setup: Callable[[], object] | None = None
 
 
 def register(
-    name: str, suite: str, ops: int, description: str = ""
-) -> Callable[[Callable[[], object]], Callable[[], object]]:
-    """Decorator: add a zero-argument workload to the registry."""
+    name: str,
+    suite: str,
+    ops: int,
+    description: str = "",
+    setup: Callable[[], object] | None = None,
+) -> Callable[[Callable[..., object]], Callable[..., object]]:
+    """Decorator: add a workload to the registry (zero-argument, or
+    taking the state ``setup`` returns)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
 
-    def wrap(fn: Callable[[], object]) -> Callable[[], object]:
+    def wrap(fn: Callable[..., object]) -> Callable[..., object]:
         if name in REGISTRY:
             raise ValueError(f"bench {name!r} registered twice")
         REGISTRY[name] = Bench(
-            name=name, suite=suite, ops=ops, run=fn, description=description
+            name=name,
+            suite=suite,
+            ops=ops,
+            run=fn,
+            description=description,
+            setup=setup,
         )
         return fn
 
@@ -131,6 +146,24 @@ def _core_admission_burst_batched() -> object:
     for _ in range(8):
         rd = workloads.run_admission_burst(count=32, batched=True)
     return rd
+
+
+#: Context switches one ``core.scale_<n>`` run performs — a pure function
+#: of n that the bench tests pin — so ops/s reads as switches per second
+#: and 1e6 / ops_per_s as host microseconds per dispatch.
+SCALE_SWITCHES = {32: 2439, 128: 2373, 512: 2353, 2048: 2365}
+
+for _n, _switches in SCALE_SWITCHES.items():
+    register(
+        f"core.scale_{_n}",
+        "core",
+        ops=_switches,
+        description=(
+            f"{_n} tasks, 3-level lists at 99.8 % of the CPU, "
+            f"{workloads.SCALE_SPAN_MS} simulated ms (per-dispatch cost vs N)"
+        ),
+        setup=partial(workloads.build_scale, _n),
+    )(workloads.run_scale)
 
 
 # -- cluster: broker + nodes + message bus ----------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import statistics
 import time
+from functools import partial
 from typing import Callable, Iterable
 
 from repro.bench.registry import Bench, benches_for
@@ -73,6 +74,14 @@ def bench_entry(samples_s: list[float], ops: int, calibration_s: float) -> dict:
     }
 
 
+def _time_bench(bench: Bench, timer: Callable[[], float]) -> float:
+    """One sample; a bench's ``setup`` runs outside the timed call."""
+    if bench.setup is None:
+        return _time_call(bench.run, timer)
+    state = bench.setup()
+    return _time_call(partial(bench.run, state), timer)
+
+
 def run_bench(
     bench: Bench,
     repetitions: int,
@@ -80,8 +89,8 @@ def run_bench(
     timer: Callable[[], float] = time.perf_counter,
 ) -> dict:
     """Time one bench: a warm-up call, then ``repetitions`` samples."""
-    bench.run()  # warm-up: imports, allocator, caches
-    samples = [_time_call(bench.run, timer) for _ in range(repetitions)]
+    _time_bench(bench, timer)  # warm-up: imports, allocator, caches
+    samples = [_time_bench(bench, timer) for _ in range(repetitions)]
     entry = bench_entry(samples, bench.ops, calibration_s)
     entry["suite"] = bench.suite
     entry["ops"] = bench.ops

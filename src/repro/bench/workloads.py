@@ -16,6 +16,7 @@ from repro.core.grant_control import GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.sporadic import SporadicServer
+from repro.tasks.base import TaskDefinition
 from repro.workloads import grant_follower, single_entry_definition
 
 # -- section 6.1: the A/V pipeline ------------------------------------------
@@ -108,6 +109,45 @@ def run_admission_burst(count: int, batched: bool) -> ResourceDistributor:
     else:
         for definition in definitions:
             rd.admit(definition)
+    return rd
+
+
+# -- dispatch cost vs thread count --------------------------------------------
+
+#: Simulated span of one ``core.scale_<n>`` run.
+SCALE_SPAN_MS = 1000
+
+
+def build_scale(n: int) -> ResourceDistributor:
+    """N periodic tasks whose 3-level resource lists (3x, 2x, 1x the
+    minimum) have minima filling 99.8 % of the CPU: the grant set is
+    overloaded and every recompute goes through the Policy Box.
+
+    Periods of N/4, N/2 and N ms keep the dispatch rate (~2.3 per
+    simulated ms) and the slice length independent of N, so only the
+    scheduler's per-dispatch work can grow with the population.  The
+    ideal machine keeps switch costs out of the guarantee, so no
+    admitted task misses a deadline.
+    """
+    rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=n))
+    minimum = 0.998 * rd.kernel.machine.schedulable_capacity / n
+    definitions = []
+    for i in range(n):
+        period = units.ms_to_ticks(n * (1, 2, 4)[i % 3] / 4)
+        entries = [
+            ResourceListEntry(period, max(1, round(period * minimum * k)), grant_follower)
+            for k in (3, 2, 1)
+        ]
+        definitions.append(
+            TaskDefinition(name=f"scale{i}", resource_list=ResourceList(entries))
+        )
+    rd.admit_many(definitions)
+    return rd
+
+
+def run_scale(rd: ResourceDistributor) -> ResourceDistributor:
+    """Run a :func:`build_scale` system for :data:`SCALE_SPAN_MS`."""
+    rd.run_for(units.ms_to_ticks(SCALE_SPAN_MS))
     return rd
 
 

@@ -81,8 +81,9 @@ class GrantSetResult:
     minimum_fallback: bool = False
     #: Exclusive-unit ownership implied by the set: unit -> thread id.
     exclusive_assignment: dict[str, int] = field(default_factory=dict)
-    #: Threads whose grant object differs from the previous compute, or
-    #: None when unknown (the scheduler then falls back to a full diff).
+    #: Threads whose grant object differs from the previous observed
+    #: compute, or None when unknown (the scheduler then falls back to a
+    #: full diff).
     changed: frozenset[int] | None = None
 
 
@@ -104,8 +105,8 @@ class GrantController:
         self._capacity = capacity
         self._bandwidth = bandwidth_capacity
         self._policy_box = policy_box
-        #: Fast-path grants reused across recomputes while a thread's
-        #: maximum entry is unchanged.  ``Grant`` is frozen, so sharing
+        #: Grants reused across recomputes while a thread's selected
+        #: entry is unchanged.  ``Grant`` is frozen, so sharing
         #: one instance is safe — and it lets the scheduler's notify
         #: diff discard unchanged threads on the ``a is b`` fast path
         #: instead of comparing fields for the whole population.
@@ -159,19 +160,47 @@ class GrantController:
                 raise GrantError(f"duplicate grant request for thread {request.thread_id}")
             seen.add(request.thread_id)
 
-        fast = self._fast_path(active)
+        fast = self._fast_path(active, observe)
         if fast is not None:
             return fast
-        # The policy path builds grants outside the cache, so cached
-        # Grant objects no longer mirror what threads were last told.
-        # Drop them: the next fast-path compute then reconstructs every
-        # grant and reports all threads as changed.
-        self._grant_cache.clear()
         return self._policy_path(active, observe=observe)
+
+    def _grants(
+        self, active: list[GrantRequest], selection: dict[int, int] | None, observe: bool
+    ) -> tuple[dict[int, Grant], frozenset[int]]:
+        """Grant objects for each request's selected entry index (the
+        maximum, index 0, when ``selection`` is None), plus the ids
+        whose grant differs from the cached one.
+
+        A cached Grant is reused while its entry and index are
+        unchanged.  ``observe=False`` reads the cache but never writes
+        it, so a side-effect-free compute cannot shift what the next
+        real compute reports as changed.
+        """
+        cache = self._grant_cache
+        grants: dict[int, Grant] = {}
+        changed: set[int] = set()
+        for request in active:
+            tid = request.thread_id
+            index = 0 if selection is None else selection[tid]
+            entry = request.resource_list[index]
+            grant = cache.get(tid)
+            if grant is None or grant.entry is not entry or grant.entry_index != index:
+                grant = Grant(thread_id=tid, entry=entry, entry_index=index)
+                if observe:
+                    cache[tid] = grant
+                changed.add(tid)
+            grants[tid] = grant
+        if observe and len(cache) > 2 * len(grants) + 32:
+            # Drop entries for threads that left the population.
+            self._grant_cache = dict(grants)
+        return grants, frozenset(changed)
 
     # -- fast path -----------------------------------------------------------
 
-    def _fast_path(self, active: list[GrantRequest]) -> GrantSetResult | None:
+    def _fast_path(
+        self, active: list[GrantRequest], observe: bool
+    ) -> GrantSetResult | None:
         """Everyone gets their maximum entry, if that fits in both
         resources without exclusive-unit conflicts."""
         if sum(r.max_rate for r in active) > self._capacity + _EPS:
@@ -187,26 +216,13 @@ class GrantController:
                 if unit in owners:
                     return None  # conflict: resolve through the policy path
                 owners[unit] = request.thread_id
-        cache = self._grant_cache
-        grants: dict[int, Grant] = {}
-        changed: set[int] = set()
-        for r in active:
-            entry = r.resource_list.maximum
-            grant = cache.get(r.thread_id)
-            if grant is None or grant.entry is not entry:
-                grant = Grant(thread_id=r.thread_id, entry=entry, entry_index=0)
-                cache[r.thread_id] = grant
-                changed.add(r.thread_id)
-            grants[r.thread_id] = grant
-        if len(cache) > 2 * len(grants) + 32:
-            # Drop entries for threads that left the population.
-            self._grant_cache = dict(grants)
+        grants, changed = self._grants(active, None, observe)
         return GrantSetResult(
             grant_set=GrantSet(grants, self._capacity, self._bandwidth),
             policy=None,
             passes=0,
             exclusive_assignment=owners,
-            changed=frozenset(changed),
+            changed=changed,
         )
 
     # -- policy correlation ----------------------------------------------------
@@ -355,20 +371,14 @@ class GrantController:
                     self._claim(request, index, owners)
                     selection[request.thread_id] = index
 
-        grants = {
-            r.thread_id: Grant(
-                thread_id=r.thread_id,
-                entry=r.resource_list[selection[r.thread_id]],
-                entry_index=selection[r.thread_id],
-            )
-            for r in active
-        }
+        grants, changed = self._grants(active, selection, observe)
         return GrantSetResult(
             grant_set=GrantSet(grants, self._capacity, self._bandwidth),
             policy=policy,
             passes=passes,
             minimum_fallback=fallback,
             exclusive_assignment=dict(owners),
+            changed=changed,
         )
 
     # -- selection helpers -----------------------------------------------------

@@ -102,6 +102,11 @@ class Kernel:
         #: across the switch-cost window to spot a stale pick (a period
         #: that opened while the switch was charged).
         self._periods_opened = 0
+        #: Latest period start pushed past its boundary by
+        #: InsertIdleCycles.  A postponed start begins a period without
+        #: an open, so a switch that began before it may also have
+        #: carried the clock across one.
+        self._last_postponed_start = 0
         self._next_tid = self.IDLE_TID + 1
         self.idle = SimThread(self.IDLE_TID, "Idle", ThreadKind.IDLE)
         self.policy = None  # bound by the scheduler policy
@@ -341,6 +346,7 @@ class Kernel:
             thread = policy.pick(clock.now)
             if sanitizer is not None:
                 sanitizer.on_pick(thread, clock.now)
+            switch_start = clock.now
             self._switch_to(thread)
             # The switch cost may have carried the clock across period
             # boundaries; bring accounting current before setting the timer.
@@ -359,6 +365,17 @@ class Kernel:
                 # queue — and dispatching a stale Idle pick would sleep
                 # through that thread's whole period.  Re-decide, exactly
                 # as the boundary's timer interrupt would have forced.
+                if prof:
+                    prof.end("kernel.dispatch")
+                continue
+            if (
+                switch_start < clock.now
+                and switch_start < self._last_postponed_start
+                and policy.pick(clock.now) is not thread
+            ):
+                # The switch cost carried the clock past a postponed
+                # period start: that thread now heads the EDF queue and
+                # the pick is stale in the same way.  Re-decide.
                 if prof:
                     prof.end("kernel.dispatch")
                 continue
@@ -854,6 +871,8 @@ class Kernel:
             return
 
         start = thread.deadline + thread.postpone_next
+        if thread.postpone_next and start > self._last_postponed_start:
+            self._last_postponed_start = start
         thread.postpone_next = 0
         thread.period_index += 1
         thread.period_start = start

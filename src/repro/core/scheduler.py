@@ -23,6 +23,21 @@ A policy-free Earliest Deadline First enforcer (section 4.2):
   period boundary immediately; increases and new threads wait for
   unallocated CPU time.
 
+Rule (2) and the timer for unallocated time (overtime or Idle) both read
+one lazy-deletion min-heap of *fresh-allocation boundaries*, fed only by
+the kernel's period-open hook: each open pushes ``(deadline, tid,
+period_index, thread)``, plus the same keyed by ``period_start`` when
+the period is postponed past now.  An entry is checked on read against
+the thread's current ``period_index`` and fresh-allocation time.  Dead
+entries are dropped; entries that are only out for now (a blocked
+thread, a removal pending at the boundary, a deadline behind a
+postponed start) are set aside and pushed back.  Rule (2) walks entries
+in key order only while the key is below the running thread's limit;
+the unallocated timer takes the first valid entry.  A dispatch thus
+costs O(log n) per entry it touches: the live boundaries before the
+limit, entries set aside there, and dead entries, each popped once.
+It no longer visits every periodic thread.
+
 The Scheduler communicates only with the Resource Manager — never with
 the Policy Box, users, or applications.
 """
@@ -74,6 +89,11 @@ class RDScheduler:
         #: longer matches the thread's are stale and discarded lazily on
         #: pop, so no heap surgery is ever needed on grant changes.
         self._ready_heap: list[tuple[int, int, SimThread]] = []
+        #: Lazy min-heap of (boundary, tid, period_index, thread): the
+        #: times at which threads next receive a fresh allocation.  One
+        #: or two entries are pushed per period open and validated on
+        #: read (see :meth:`_first_boundary`).
+        self._boundary_heap: list[tuple[int, int, int, SimThread]] = []
         #: The grant set delivered by the last ``notify_grant_set`` call,
         #: diffed against to skip threads whose grant did not change.
         self._last_notified: GrantSet | None = None
@@ -86,21 +106,32 @@ class RDScheduler:
         kernel.bind_policy(self)
         # Threads that started periods before this policy was bound (test
         # harnesses drive start_first_period directly) never saw the
-        # period-open hook; seed the ready-heap with them.
+        # period-open hook; seed both heaps with them.
         for thread in kernel.periodic_threads():
             if thread.in_period:
-                heappush(self._ready_heap, (thread.deadline, thread.tid, thread))
+                self.on_period_open(thread)
 
     # -- kernel period hook ---------------------------------------------------
 
     def on_period_open(self, thread: SimThread) -> None:
-        """A period just opened: push the thread's fresh deadline.
+        """A period just opened: push the thread's fresh deadline and
+        its fresh-allocation boundaries.
 
         Called by the kernel from ``start_first_period`` and period
         rollover.  Old entries for the thread become stale (its deadline
-        moved) and are discarded when they surface at the heap head.
+        and period index moved) and are discarded when they surface at
+        a heap head.
         """
         heappush(self._ready_heap, (thread.deadline, thread.tid, thread))
+        boundaries = self._boundary_heap
+        heappush(
+            boundaries, (thread.deadline, thread.tid, thread.period_index, thread)
+        )
+        if thread.period_start > self.kernel.now:
+            heappush(
+                boundaries,
+                (thread.period_start, thread.tid, thread.period_index, thread),
+            )
 
     # -- Resource Manager interface ------------------------------------------
 
@@ -311,11 +342,8 @@ class RDScheduler:
         stop = units.INFINITE
         if not thread.is_idle and thread.in_period:
             stop = thread.deadline
-        for other in self.kernel.periodic_threads():
-            boundary = self._fresh_allocation_time(other, now)
-            if boundary is not None and boundary < stop:
-                stop = boundary
-        return stop
+        boundary = self._first_boundary(now, stop, None)
+        return stop if boundary is None else boundary
 
     def _fresh_allocation_time(self, thread: SimThread, now: int) -> int | None:
         """When ``thread`` next receives a fresh allocation, if ever."""
@@ -341,18 +369,53 @@ class RDScheduler:
     ) -> int | None:
         """Rule (2): the beginning of a new period for another thread
         whose next-period end precedes the running thread's period end."""
-        best: int | None = None
-        for other in self.kernel.periodic_threads():
-            if other is thread:
+        return self._first_boundary(now, limit, thread)
+
+    def _first_boundary(
+        self, now: int, limit: int, running: SimThread | None
+    ) -> int | None:
+        """The earliest fresh-allocation boundary below ``limit``.
+
+        With ``running`` set, only rule (2) boundaries count: another
+        thread's, strictly after ``now``, whose next deadline precedes
+        ``running``'s.  Lazy heap maintenance: an entry is dead once
+        its thread opened a later period, retired or exited, or once a
+        postponed start it stands for has passed — the next period-open
+        push covers the thread again.  A live entry whose key is not the
+        thread's fresh-allocation time right now (blocked, removal
+        pending, or a deadline behind a postponed start), or which
+        ``running`` rejects, is set aside and pushed back.
+        """
+        heap = self._boundary_heap
+        deferred: list[tuple[int, int, int, SimThread]] | None = None
+        found: int | None = None
+        while heap and heap[0][0] < limit:
+            key, _, index, thread = heap[0]
+            if (
+                thread.period_index != index
+                or not thread.in_period
+                or thread.state is ThreadState.EXITED
+                or (key == thread.period_start and key <= now)
+            ):
+                heappop(heap)
                 continue
-            boundary = self._fresh_allocation_time(other, now)
-            if boundary is None or boundary <= now or boundary >= limit:
-                continue
-            if self._next_deadline_after(other, now) >= thread.deadline:
-                continue
-            if best is None or boundary < best:
-                best = boundary
-        return best
+            if self._fresh_allocation_time(thread, now) == key and (
+                running is None
+                or (
+                    thread is not running
+                    and key > now
+                    and self._next_deadline_after(thread, now) < running.deadline
+                )
+            ):
+                found = key
+                break
+            if deferred is None:
+                deferred = []
+            deferred.append(heappop(heap))
+        if deferred:
+            for entry in deferred:
+                heappush(heap, entry)
+        return found
 
     def snapshot(self, now: int) -> dict:
         """Debug view of the scheduler's queues at ``now``.

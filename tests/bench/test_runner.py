@@ -14,6 +14,7 @@ from repro.bench import (
     run_suites,
     validate_payload,
 )
+from repro.bench.registry import SCALE_SWITCHES, Bench
 from repro.bench.runner import run_bench
 
 
@@ -75,6 +76,37 @@ class TestRunBench:
         assert entry["ops_per_s"] == bench.ops / 0.5
         assert len(entry["samples_s"]) == 4
         assert entry["suite"] == bench.suite
+
+
+    def test_setup_runs_outside_the_timed_call(self):
+        clock = [0.0]
+        seen = []
+
+        def setup():
+            clock[0] += 100.0
+            return "state"
+
+        def run(state):
+            seen.append(state)
+            clock[0] += 0.5
+
+        bench = Bench(name="core.x", suite="core", ops=1, run=run, setup=setup)
+        entry = run_bench(bench, repetitions=3, calibration_s=1.0, timer=lambda: clock[0])
+        assert entry["samples_s"] == [0.5, 0.5, 0.5]
+        assert seen == ["state"] * 4  # warm-up plus three samples
+
+
+class TestScaleFamily:
+    def test_every_size_is_registered(self):
+        assert {f"core.scale_{n}" for n in (32, 128, 512, 2048)} <= set(REGISTRY)
+
+    @pytest.mark.parametrize("n", sorted(SCALE_SWITCHES))
+    def test_ops_are_the_runs_context_switches(self, n):
+        bench = REGISTRY[f"core.scale_{n}"]
+        rd = bench.run(bench.setup())
+        assert len(rd.trace.switches) == bench.ops
+        assert rd.resource_manager.last_result.passes > 0  # overloaded
+        assert not rd.trace.misses()
 
 
 class TestRunSuites:

@@ -271,3 +271,37 @@ class TestResultInvariants:
     def test_capacity_validation(self, box):
         with pytest.raises(GrantError):
             GrantController(capacity=0.0, policy_box=box)
+
+
+class TestGrantReuse:
+    def test_policy_path_reuses_unchanged_grants_and_reports_changed(self, box):
+        gc = controller(box)
+        one, two, three = (request(i, box, 0.9, 0.1) for i in (1, 2, 3))
+        first = gc.compute([one, two])
+        assert first.passes > 0
+        assert first.changed == {1, 2}
+        again = gc.compute([one, two])
+        assert again.changed == frozenset()
+        assert again.grant_set[1] is first.grant_set[1]
+        # A newcomer that leaves the others' selected entries alone is
+        # the only change reported.
+        grown = gc.compute([one, two, three])
+        assert grown.passes > 0
+        assert grown.changed == {3}
+        assert grown.grant_set[2] is first.grant_set[2]
+        # Back in underload the survivor moves to its maximum entry.
+        alone = gc.compute([one])
+        assert alone.passes == 0
+        assert alone.changed == {1}
+        assert alone.grant_set[1].entry_index == 0
+
+    def test_unobserved_compute_leaves_the_cache_untouched(self, box):
+        gc = controller(box)
+        one, two = request(1, box, 0.9, 0.1), request(2, box, 0.9, 0.1)
+        first = gc.compute([one, two])
+        gc.compute([one], observe=False)  # fast path: would pick entry 0
+        gc.compute([two], observe=False)
+        again = gc.compute([one, two])
+        assert again.changed == frozenset()
+        assert again.grant_set[1] is first.grant_set[1]
+        assert again.grant_set[2] is first.grant_set[2]

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro import SporadicServer, TaskDefinition, units
+from repro import MachineConfig, SimConfig, SporadicServer, TaskDefinition, units
+from repro.core.distributor import ResourceDistributor
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.threads import ThreadState
 from repro.errors import SimulationError
 from repro.tasks.base import AssignGrant, Block, Compute, DonePeriod, InsertIdleCycles
 from repro.tasks.channels import Channel
+from repro.workloads import grant_follower
 
 from tests.conftest import admit_simple
 
@@ -56,6 +58,26 @@ class TestInsertIdleCycles:
             ideal_rd.trace.segments_for(thread.tid)[1:],
         ):
             assert b.start - a.end >= ms(10) + ms(5) - ms(2) - 1
+
+    def test_switch_across_a_postponed_start_keeps_the_grant(self):
+        """A context switch whose cost carries the clock past a period
+        start postponed by InsertIdleCycles makes the pick stale, as a
+        period opening inside the switch does.  Dispatching it anyway
+        let Idle run through most of the drifting thread's period."""
+        rd = ResourceDistributor(
+            machine=MachineConfig(), sim=SimConfig(seed=1), sanitize=True
+        )
+        drift = units.us_to_ticks(68)
+
+        def drifting(ctx):
+            yield Compute(ctx.grant.cpu_ticks)
+            yield InsertIdleCycles(drift)
+            yield DonePeriod()
+
+        rd.admit(one_entry("steady", grant_follower, period_ms=5, rate=0.2))
+        thread = rd.admit(one_entry("drift", drifting, period_ms=5, rate=0.2))
+        rd.run_for(ms(100))  # the strict sanitizer raises on a miss
+        assert not rd.trace.misses(thread.tid)
 
 
 class TestAssignGrantEdges:

@@ -11,7 +11,9 @@ import pytest
 
 from repro import MachineConfig, SimConfig, units
 from repro.core.distributor import ResourceDistributor
-from repro.workloads import single_entry_definition
+from repro.core.resource_list import ResourceList, ResourceListEntry
+from repro.tasks.base import TaskDefinition
+from repro.workloads import grant_follower, single_entry_definition
 
 
 def ms(x):
@@ -114,3 +116,51 @@ class TestUnallocatedTimer:
         timer = rd.scheduler.timer_for(greedy, rd.now)
         # Bounded by its own next period start (10 ms).
         assert timer <= greedy.deadline
+
+
+class TestTimerWork:
+    def test_timer_for_never_scans_the_periodic_population(self):
+        """512 tasks whose minima fill 99.8 % of the CPU (an overloaded,
+        policy-resolved grant set): the timer must come from the
+        boundary heap, never from a walk over every periodic thread."""
+        rd = ResourceDistributor(machine=MachineConfig(), sim=SimConfig(seed=0))
+        kernel = rd.kernel
+        count = 512
+        minimum = 0.998 * kernel.machine.schedulable_capacity / count
+        with rd.resource_manager.deferred_recompute():
+            for i in range(count):
+                period = ms((5, 10, 20)[i % 3])
+                entries = [
+                    ResourceListEntry(
+                        period, max(1, round(period * minimum * k)), grant_follower
+                    )
+                    for k in (3, 2, 1)
+                ]
+                rd.admit(TaskDefinition(name=f"t{i}", resource_list=ResourceList(entries)))
+        assert rd.resource_manager.last_result.passes > 0  # overloaded
+
+        scans = 0
+        calls = 0
+        inside = False
+        periodic_threads = kernel.periodic_threads
+        timer_for = rd.scheduler.timer_for
+
+        def counted_periodic_threads():
+            nonlocal scans
+            scans += inside
+            return periodic_threads()
+
+        def counted_timer_for(thread, now):
+            nonlocal calls, inside
+            calls += 1
+            inside = True
+            try:
+                return timer_for(thread, now)
+            finally:
+                inside = False
+
+        kernel.periodic_threads = counted_periodic_threads
+        rd.scheduler.timer_for = counted_timer_for
+        rd.run_for(ms(20))
+        assert calls > count
+        assert scans == 0
