@@ -13,6 +13,11 @@ The policy interface (duck-typed) is::
     pick(now) -> SimThread                 # never None; idle thread at worst
     timer_for(thread, now) -> int          # absolute tick of next interrupt
     preemption_imminent(thread, now) -> bool   # for grace-period decisions
+
+Optional hooks: ``on_period_open(thread)``, called at every period open,
+and ``continues_overtime``, a true attribute by which a policy opts in
+to overtime slice continuation (see :meth:`Kernel.run_until`); a policy
+that sets it also provides ``has_pending_activation``.
 """
 
 from __future__ import annotations
@@ -117,6 +122,10 @@ class Kernel:
         self._no_progress = 0
         #: Thread ids in the order they blocked (FIFO wake fairness).
         self._block_order: list[int] = []
+        #: Set when a channel a thread blocked on is posted (or a
+        #: blocked thread is restarted behind the scan's back); the
+        #: wake scan runs only while it is set.
+        self._wake_scan_due = False
         #: Called when application code raises: (thread, exception).
         #: The distributor wires this to Resource Manager cleanup so a
         #: crashing task releases its admission instead of wedging the
@@ -238,6 +247,11 @@ class Kernel:
         """Ask the kernel to re-run the scheduler at the next opportunity."""
         self._reschedule = True
 
+    def note_channel_post(self) -> None:
+        """A channel some thread blocked on was posted (see
+        :meth:`repro.tasks.channels.Channel.watch`)."""
+        self._wake_scan_due = True
+
     # -- grant plumbing (called by the scheduler policy / RM) -----------------
 
     def start_first_period(self, thread: SimThread, grant: Grant, now: int) -> None:
@@ -250,6 +264,10 @@ class Kernel:
         """
         if thread.kind is not ThreadKind.PERIODIC:
             raise SchedulerError(f"thread {thread.tid} is not periodic")
+        if thread.state is ThreadState.BLOCKED:
+            # Leaving BLOCKED without a wake: let the next scan drop the
+            # thread's entry before it can block again.
+            self._wake_scan_due = True
         thread.state = ThreadState.ACTIVE
         thread.grant = grant
         thread.pending_grant = None
@@ -315,13 +333,34 @@ class Kernel:
         self.run_until(self.now + ticks)
 
     def run_until(self, horizon: int) -> None:
-        """Advance the simulation to absolute time ``horizon``."""
+        """Advance the simulation to absolute time ``horizon``.
+
+        Overtime slice continuation: when a policy that sets
+        ``continues_overtime`` picked a thread on unallocated time
+        (``stop`` came from its unallocated timer), and the slice ended
+        with the thread declaring itself done but asking for more
+        overtime, the thread runs again under the same ``stop`` and
+        ``preemptive`` without the rollover, event, wake, pick, switch
+        and timer steps.  That is allowed only while nothing those
+        steps read has changed: the clock is still before ``stop``, no
+        reschedule was requested, no period boundary is due (a blocked
+        or removal-pending thread's boundary is not in the unallocated
+        timer), no activation is pending, no wake scan is due, the next
+        event is the one ``stop`` was computed against, and the last
+        slice advanced the clock (so the progress guard still sees
+        livelocks).  Under those conditions the full loop would pick
+        the same thread and compute the same ``stop``, so the schedule
+        is unchanged.  Each continued slice is still reported to the
+        sanitizer and gets its own ``kernel.dispatch`` profiler frame.
+        """
         if self.policy is None:
             raise SimulationError("no scheduler policy bound to the kernel")
         clock = self.clock
+        events = self.events
         policy = self.policy
         sanitizer = self.sanitizer
         prof = self.prof
+        continues = getattr(policy, "continues_overtime", False)
         while clock.now < horizon:
             before = clock.now
             # Bring period accounting current *before* firing events:
@@ -333,7 +372,7 @@ class Kernel:
             # beginning at t ("the decrease occurs in the next period").
             self._rollover_all(strict=True)
             self._fire_due_events()
-            if self._block_order:
+            if self._wake_scan_due and self._block_order:
                 self._scan_wakes()
             self._rollover_all()
             self._reschedule = False
@@ -379,10 +418,32 @@ class Kernel:
                 if prof:
                     prof.end("kernel.dispatch")
                 continue
-            stop, preemptive = self._compute_stop(thread, horizon)
-            self._dispatch(thread, stop, preemptive)
+            next_event = events.next_time()
+            stop, preemptive = self._compute_stop(thread, horizon, next_event)
+            unallocated = continues and not thread.eligible_time_remaining(clock.now)
+            mark = clock.now
+            outcome = self._dispatch(thread, stop, preemptive)
             if prof:
                 prof.end("kernel.dispatch")
+            while (
+                unallocated
+                and outcome is SliceEnd.DONE
+                and thread.wants_overtime
+                and mark < clock.now < stop
+                and not self._reschedule
+                and self._next_rollover > clock.now
+                and not policy.has_pending_activation
+                and not (self._wake_scan_due and self._block_order)
+                and events.next_time() == next_event
+            ):
+                mark = clock.now
+                if prof:
+                    prof.begin("kernel.dispatch")
+                if sanitizer is not None:
+                    sanitizer.on_pick(thread, mark)
+                outcome = self._dispatch(thread, stop, preemptive)
+                if prof:
+                    prof.end("kernel.dispatch")
             self._guard_progress(before)
         # Close any period ending exactly at the horizon so trace
         # accounting covers the whole run, and materialize the open
@@ -406,10 +467,11 @@ class Kernel:
             event.action()
             self._reschedule = True
 
-    def _compute_stop(self, thread: SimThread, horizon: int) -> tuple[int, bool]:
+    def _compute_stop(
+        self, thread: SimThread, horizon: int, next_event: int | None
+    ) -> tuple[int, bool]:
         stop = horizon
         preemptive = False
-        next_event = self.events.next_time()
         if next_event is not None and next_event < stop:
             stop = next_event
         policy_stop = self.policy.timer_for(thread, self.now)
@@ -453,14 +515,17 @@ class Kernel:
 
     # -- dispatching ------------------------------------------------------------
 
-    def _dispatch(self, thread: SimThread, stop: int, preemptive: bool) -> None:
+    def _dispatch(
+        self, thread: SimThread, stop: int, preemptive: bool
+    ) -> SliceEnd | None:
+        """Run one slice; returns how it ended (None for the Idle thread)."""
         if thread.is_idle:
             start = self.clock.now
             if stop > start:
                 self.clock.advance_to(stop)
                 self.trace.record_run(thread.tid, start, stop, SegmentKind.IDLE)
             self._pending_switch_kind = SwitchKind.VOLUNTARY
-            return
+            return None
 
         outcome = self._execute(thread, stop)
         if outcome in (SliceEnd.DONE, SliceEnd.BLOCKED):
@@ -471,6 +536,7 @@ class Kernel:
             self._pending_switch_kind = self._handle_forced_stop(
                 thread, stop, preemptive
             )
+        return outcome
 
     def _handle_forced_stop(
         self, thread: SimThread, stop: int, preemptive: bool
@@ -589,7 +655,7 @@ class Kernel:
                 op = runner.gen.send(None)
             except StopIteration:
                 runner.gen_exhausted = True
-                if self._block_order:
+                if self._wake_scan_due and self._block_order:
                     self._scan_wakes()
                 if assigned:
                     runner.state = ThreadState.EXITED
@@ -602,8 +668,8 @@ class Kernel:
                 if outcome is not None:
                     return outcome
                 continue
-            if self._block_order:
-                self._scan_wakes()  # the generator body may have posted channels
+            if self._wake_scan_due and self._block_order:
+                self._scan_wakes()  # the generator body posted a channel
 
             try:
                 result = self._apply_op(thread, runner, assigned, op)
@@ -668,6 +734,7 @@ class Kernel:
                 return None
             runner.state = ThreadState.BLOCKED
             runner.blocked_channel = op.channel
+            op.channel.watch(self)
             self._block_order.append(runner.tid)
             self.trace.record_block(
                 BlockRecord(
@@ -756,27 +823,50 @@ class Kernel:
         Waiters are served in the order they blocked (FIFO), so a
         frequently re-blocking thread cannot starve a peer waiting on
         the same channel.
+
+        Post-driven: callers scan only while ``_wake_scan_due`` is set.
+        A thread blocks only after ``try_take`` failed on its channel,
+        and every scan leaves each still-blocked channel with nothing
+        pending; a channel's pending count grows only through a post,
+        and a post to a channel a thread blocked on sets the flag (see
+        :meth:`repro.tasks.channels.Channel.watch`).  So with the flag
+        clear no scan could wake anyone.  Entries of threads that left
+        BLOCKED some other way stay queued until a flagged scan drops
+        them: an exited thread never blocks again, and a blocked thread
+        restarted by ``start_first_period`` sets the flag itself.
         """
+        self._wake_scan_due = False
+        now = self.clock.now
         still_blocked: list[int] = []
         for tid in self._block_order:
             candidate = self.threads.get(tid)
             if candidate is None or candidate.state is not ThreadState.BLOCKED:
                 continue  # exited or already woken: drop from the queue
             channel = candidate.blocked_channel
-            if channel is not None and channel.try_take():
-                candidate.state = ThreadState.ACTIVE
-                candidate.blocked_channel = None
-                self.trace.record_block(
-                    BlockRecord(
-                        time=self.now,
-                        thread_id=candidate.tid,
-                        blocked=False,
-                        channel=channel.name,
-                    )
-                )
-                self._reschedule = True
-            else:
+            if channel is None or not channel.ready:
                 still_blocked.append(tid)
+                continue
+            # The timer ignores a blocked thread's boundaries, so a long
+            # slice can carry the clock past them; close those periods
+            # as blocked before the wake, as a timely rollover would
+            # have.
+            while candidate.in_period and candidate.deadline < now:
+                self._close_period(candidate)
+                self._open_next_period(candidate)
+            if candidate.state is not ThreadState.BLOCKED:
+                continue  # exited at a boundary it slept through
+            channel.try_take()
+            candidate.state = ThreadState.ACTIVE
+            candidate.blocked_channel = None
+            self.trace.record_block(
+                BlockRecord(
+                    time=self.now,
+                    thread_id=candidate.tid,
+                    blocked=False,
+                    channel=channel.name,
+                )
+            )
+            self._reschedule = True
         self._block_order = still_blocked
 
     # -- period rollover ------------------------------------------------------------

@@ -73,6 +73,14 @@ def _same_grant(a: Grant, b: Grant) -> bool:
 class RDScheduler:
     """The Resource Distributor's EDF scheduler policy."""
 
+    #: Opts in to the kernel's overtime slice continuation.  On
+    #: unallocated time ``pick`` takes the earliest-deadline thread on
+    #: OvertimeRequested, and a thread that just declared itself done
+    #: with overtime stays there; so until a boundary, event, wake,
+    #: activation or reschedule intervenes, re-picking returns the same
+    #: thread and ``timer_for`` the same stop.
+    continues_overtime = True
+
     def __init__(self, kernel: Kernel, overlap_override_ticks: int | None = None) -> None:
         self.kernel = kernel
         self.overlap_override_ticks = (

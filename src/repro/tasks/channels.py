@@ -12,6 +12,10 @@ that does block simply voids its guarantee for the affected periods.
   resulting spin "a bug in the application");
 * blocking: a task yields ``Block(channel)`` and is woken by the next
   :meth:`post`, regaining its guarantees in the following full period.
+
+A kernel that parks a thread on a channel registers itself with
+:meth:`watch`; every later :meth:`post` flags that kernel, so its wake
+scan only runs after something was posted.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ class Channel:
         self.name = name
         self._pending = 0
         self._posts = 0
+        #: Kernels that parked a thread here; each post flags them.
+        self._kernels: list = []
 
     @property
     def ready(self) -> bool:
@@ -44,6 +50,13 @@ class Channel:
             raise ValueError(f"post count must be positive, got {count}")
         self._pending += count
         self._posts += count
+        for kernel in self._kernels:
+            kernel.note_channel_post()
+
+    def watch(self, kernel) -> None:
+        """Flag ``kernel`` on every later post (a thread blocked here)."""
+        if kernel not in self._kernels:
+            self._kernels.append(kernel)
 
     def try_take(self) -> bool:
         """Consume one item if available (non-blocking)."""

@@ -170,6 +170,40 @@ class TestBlockingCorners:
         ideal_rd.run_for(ms(60))
         assert sorted(woken) == ["a", "b"]
 
+    def test_wake_after_a_long_slice_voids_the_periods_it_slept_through(self):
+        """The timer ignores a blocked thread's boundaries, so one long
+        overtime slice (the server running a sporadic task for 10 ms)
+        carries the clock past two of them.  A post later in that slice
+        wakes the thread; the periods it slept through must close as
+        blocked, not as missed grants."""
+        rd = ResourceDistributor(
+            machine=MachineConfig.ideal(), sim=SimConfig(seed=1), sanitize=True
+        )
+        channel = Channel("late")
+
+        def waiter(ctx):
+            while True:
+                yield Block(channel)
+                yield Compute(units.us_to_ticks(150))
+
+        def worker(ctx):
+            while True:
+                yield Compute(units.us_to_ticks(300))
+
+        def poster(ctx):
+            while True:
+                yield Compute(units.us_to_ticks(100))
+                channel.post()
+
+        server = SporadicServer(rd, greedy=True)
+        server.spawn("worker", worker)
+        server.spawn("poster", poster)
+        thread = rd.admit(one_entry("waiter", waiter, period_ms=5, rate=0.06))
+        rd.run_for(ms(30))  # the strict sanitizer raises on a miss
+        closes = [d for d in rd.trace.deadlines if d.thread_id == thread.tid]
+        assert [d.voided for d in closes[:3]] == [True, True, True]
+        assert not rd.trace.misses(thread.tid)
+
 
 class TestEventApi:
     def test_past_event_rejected(self, ideal_rd):
